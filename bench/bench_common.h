@@ -3,8 +3,10 @@
 // corpora built here so results are comparable across benches.
 //
 // Sizes are chosen so each binary completes in tens of seconds on a
-// laptop while preserving the paper's qualitative relationships (see
-// EXPERIMENTS.md for the paper-vs-measured comparison).
+// laptop while preserving the paper's qualitative relationships. Each
+// bench prints the paper's figure beside the measured one; README.md
+// ("Layout") lists the benches, and ROADMAP.md ("Re-anchor findings")
+// records where the measured figures miss the paper's.
 #pragma once
 
 #include <cmath>

@@ -109,8 +109,8 @@ int main(int argc, char** argv) {
   cfg.service.workers = workers;
   cfg.service.options.scale = scale;
   // Distilled trees hot-swap into the query plane automatically: the
-  // server watches its own control plane for completed distill jobs and
-  // add_tree()s them under the scenario key — no caller-side wiring.
+  // worker that finishes a distill job publishes, compiles and
+  // add_tree()s it under the scenario key — no caller-side wiring.
   cfg.auto_deploy_distilled = true;
   // With --store-dir, the server opens (and crash-recovers) a versioned
   // snapshot store there: previously published trees warm-boot into the
@@ -121,8 +121,8 @@ int main(int argc, char** argv) {
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
-  // Started before the tree exists: auto-deploy runs on the loop thread,
-  // and queries for "abr" get a clean unknown-tree error until it lands.
+  // Started before the tree exists: queries for "abr" get a clean
+  // unknown-tree error until the auto-deploy lands.
   server.start();
 
   if (distill) {
@@ -137,8 +137,8 @@ int main(int argc, char** argv) {
     const tree::DecisionTree& dtree = job.distill_run().result.tree;
     std::cout << "tree ready: " << dtree.leaf_count() << " leaves\n";
     tree::save(dtree, tree_out);  // crash-safe: old file or new, never torn
-    while (!server.has_tree("abr")) {  // auto-deploy lands within one
-      std::this_thread::sleep_for(      // housekeeping tick
+    while (!server.has_tree("abr")) {  // the job's worker deploys it
+      std::this_thread::sleep_for(      // right after kDone
           std::chrono::milliseconds(5));
     }
   } else {

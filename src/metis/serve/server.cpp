@@ -15,7 +15,7 @@
 namespace metis::serve {
 
 Server::Server(ServerConfig config)
-    : config_(std::move(config)), service_(config_.service) {
+    : config_(std::move(config)), service_(service_config()) {
   if (!config_.store_dir.empty()) {
     // Constructing the store IS crash recovery: checksum scan, temp
     // sweep, quarantine, manifest reconcile (store/snapshot_store.h).
@@ -25,6 +25,48 @@ Server::Server(ServerConfig config)
 }
 
 Server::~Server() { stop(); }
+
+ServiceConfig Server::service_config() {
+  ServiceConfig sc = config_.service;
+  if (!config_.auto_deploy_distilled) return sc;
+  sc.on_job_done = [this, chained = std::move(sc.on_job_done)](
+                       const JobHandle& job) {
+    if (job.kind() == JobKind::kDistill && job.status() == JobStatus::kDone) {
+      deploy(job);
+    }
+    if (chained) chained(job);
+  };
+  return sc;
+}
+
+void Server::deploy(const JobHandle& job) {
+  util::MutexLock lock(deploy_mu_);
+  try {
+    // distill_run() returns without blocking (status is kDone) unless a
+    // caller already took the result — then skip, don't crash.
+    const api::DistillRun& run = job.distill_run();
+    std::uint64_t version = 0;
+    if (store_) {
+      // Durable before visible: the artifact must be fsync'd into the
+      // store BEFORE the query plane can answer with it. A publish the
+      // disk rejected (ENOSPC, I/O error) parks the job for the next
+      // housekeeping tick to retry, rather than serving an artifact that
+      // would not survive a restart.
+      try {
+        version = store_->publish_tree(job.scenario(), run.result.tree);
+      } catch (const std::runtime_error&) {
+        pending_deploys_.push_back(job);
+        stats_.store_publish_failures.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+    }
+    add_tree(job.scenario(), tree::FlatTree::compile(run.result.tree),
+             version);
+    stats_.trees_auto_deployed.fetch_add(1, std::memory_order_relaxed);
+  } catch (const std::logic_error&) {
+    // Result taken out from under us: nothing left to deploy.
+  }
+}
 
 void Server::add_tree(const std::string& name, tree::FlatTree tree,
                       std::uint64_t version) {
@@ -179,37 +221,17 @@ void Server::housekeeping() {
     }
   }
   if (config_.auto_deploy_distilled) {
-    for (const JobHandle& job : service_.jobs()) {
-      if (job.kind() != JobKind::kDistill) continue;
-      if (job.status() != JobStatus::kDone) continue;
-      if (!deployed_jobs_.insert(job.id()).second) continue;
-      try {
-        // distill_run() returns without blocking (status is kDone) unless
-        // a caller already took the result — then skip, don't crash.
-        const api::DistillRun& run = job.distill_run();
-        std::uint64_t version = 0;
-        if (store_) {
-          // Durable before visible: the artifact must be fsync'd into
-          // the store BEFORE the query plane can answer with it. A
-          // publish the disk rejected (ENOSPC, I/O error) defers the
-          // deploy to the next housekeeping tick — un-marking the job so
-          // it is retried — rather than serving an artifact that would
-          // not survive a restart.
-          try {
-            version = store_->publish_tree(job.scenario(), run.result.tree);
-          } catch (const std::runtime_error&) {
-            deployed_jobs_.erase(job.id());
-            stats_.store_publish_failures.fetch_add(
-                1, std::memory_order_relaxed);
-            continue;
-          }
-        }
-        add_tree(job.scenario(), tree::FlatTree::compile(run.result.tree),
-                 version);
-        stats_.trees_auto_deployed.fetch_add(1, std::memory_order_relaxed);
-      } catch (const std::logic_error&) {
-        // Result taken out from under us; the job stays marked deployed.
-      }
+    // Successful deploys happen on the job's worker; only the ones the
+    // store rejected come back here, and go straight back to a worker —
+    // the loop never publishes.
+    std::vector<JobHandle> retry;
+    {
+      util::MutexLock lock(deploy_mu_);
+      retry.swap(pending_deploys_);
+    }
+    for (JobHandle& job : retry) {
+      service_.worker_pool().submit(
+          [this, job = std::move(job)] { deploy(job); });
     }
   }
 }

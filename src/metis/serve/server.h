@@ -20,6 +20,13 @@
 //    only returned for jobs already done), so a slow distill cannot stall
 //    the query plane either.
 //
+//  * Auto-deploy (auto_deploy_distilled). The Service's completion hook
+//    pushes each finished distill to the worker that ran it: that worker
+//    publishes the tree durably, compiles it and hot-swaps it in, under
+//    one deploy mutex so concurrent same-key deploys reach the store and
+//    the query plane in the same order. Neither the fsync nor the compile
+//    runs on the loop, and nothing scans the job table.
+//
 // Single loop thread owns every connection's state — no locks anywhere on
 // the query path. add_tree() may be called while the loop runs (sessions
 // hold a shared_ptr to the tree they opened, so a re-registered name
@@ -32,7 +39,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,7 +77,9 @@ struct ServerConfig {
   // long (slow-loris readers that accept a byte an hour — the bounded
   // write buffer alone cannot catch those).
   std::uint64_t write_stall_timeout_ms = 0;
-  // Cadence of the reaper/auto-deploy timer on the loop thread.
+  // Cadence of the housekeeping timer on the loop thread: the reaper, and
+  // handing deploys the store rejected back to the worker pool for a
+  // retry. A successful auto-deploy never waits for this tick.
   std::uint64_t housekeeping_interval_ms = 50;
   // Upper bound on graceful stop(): pending replies get this long to
   // drain before remaining connections are cut. Always > 0.
@@ -79,10 +87,15 @@ struct ServerConfig {
   // Hot-swap every completed distill job's tree into the query plane
   // under its scenario key (via add_tree), so clients can open sessions
   // against what the control plane just trained without any caller-side
-  // wiring. Jobs whose result was already taken are skipped. With a
-  // store configured, the tree is published durably FIRST — a deploy the
-  // store rejected (disk full) is retried at the next housekeeping tick
-  // and never becomes visible undurable.
+  // wiring. The deploy runs on the job's own worker right after the job
+  // reports kDone (see ServiceConfig::on_job_done), so it lands within
+  // a publish + compile of completion, not on a timer. Jobs whose result
+  // was already taken are skipped. With a store configured, the tree is
+  // published durably FIRST — a deploy the store rejected (disk full,
+  // I/O error) is handed back to a worker at the next housekeeping tick
+  // and never becomes visible undurable. Deploys of one key are
+  // serialized: the served version never moves backwards and equals the
+  // store's newest.
   bool auto_deploy_distilled = false;
 
   // --- durability (empty = no store) ----------------------------------------
@@ -187,15 +200,19 @@ class Server {
   void flush(Connection& conn) REQUIRES(loop_role_);
   void close_connection(int fd) REQUIRES(loop_role_);
   [[nodiscard]] std::size_t inflight_jobs() REQUIRES(loop_role_);
-  // Periodic loop-thread maintenance: idle/write-stall reaping and
-  // auto_deploy_distilled hot swaps.
+  // Periodic loop-thread maintenance: idle/write-stall reaping, and
+  // re-submitting deploys the store rejected to the worker pool.
   void housekeeping() REQUIRES(loop_role_);
   // Begins the graceful shutdown on the loop thread: unregisters the
   // listeners, flushes/closes connections, arms the stop deadline.
   void begin_drain() REQUIRES(loop_role_);
+  // service_'s config with the auto-deploy completion hook chained in.
+  [[nodiscard]] ServiceConfig service_config();
+  // Publish, compile and hot-swap one finished distill (auto-deploy).
+  // Runs on a job worker, never on the loop thread.
+  void deploy(const JobHandle& job) EXCLUDES(deploy_mu_);
 
   ServerConfig config_;
-  Service service_;
   net::EventLoop loop_;
   std::optional<net::Listener> unix_listener_;
   std::optional<net::Listener> tcp_listener_;
@@ -217,6 +234,14 @@ class Server {
   // Constructed (and crash-recovered) in the Server constructor; the
   // query plane is warm-booted from it in start() before listeners bind.
   std::optional<store::SnapshotStore> store_;
+  // Serializes auto-deploys end to end (publish, compile, add_tree), so
+  // two workers finishing same-key distills together cannot swap their
+  // trees in the opposite order to their store versions. Ordered before
+  // trees_mu_ and the store's own lock.
+  util::Mutex deploy_mu_;
+  // Deploys whose publish the store rejected, awaiting the housekeeping
+  // tick that hands them back to the worker pool.
+  std::vector<JobHandle> pending_deploys_ GUARDED_BY(deploy_mu_);
 
   // "Loop thread only" as a compile-time capability: a zero-cost
   // util::ThreadRole acquired by the loop callbacks (and by stop()'s
@@ -232,14 +257,13 @@ class Server {
   // flushed connection closes instead of idling, and the last close (or
   // the stop deadline) stops the loop.
   bool draining_ GUARDED_BY(loop_role_) = false;
-  // Distill jobs already hot-swapped by auto_deploy_distilled.
-  std::set<JobId> deployed_jobs_ GUARDED_BY(loop_role_);
 
-  // Written by the loop thread, read by stats() from any thread. Every
-  // counter is monotonic and independently atomic (relaxed): stats() is a
-  // monitoring snapshot, not a transaction, so no cross-counter ordering
-  // is promised — a snapshot may be mid-update but never torn. Audited
-  // for the thread-safety contract; keep new counters atomic too.
+  // Written by the loop thread and the job workers (deploy counters),
+  // read by stats() from any thread. Every counter is monotonic and
+  // independently atomic (relaxed): stats() is a monitoring snapshot, not
+  // a transaction, so no cross-counter ordering is promised — a snapshot
+  // may be mid-update but never torn. Audited for the thread-safety
+  // contract; keep new counters atomic too.
   struct AtomicStats {
     std::atomic<std::uint64_t> connections_accepted{0};
     std::atomic<std::uint64_t> sessions_opened{0};
@@ -254,6 +278,11 @@ class Server {
     std::atomic<std::uint64_t> store_publish_failures{0};
   };
   AtomicStats stats_;
+
+  // Last member: ~Service joins workers whose completion hooks deploy
+  // into store_, trees_ and stats_, so it must run before any of them is
+  // torn down.
+  Service service_;
 };
 
 }  // namespace metis::serve

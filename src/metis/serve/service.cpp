@@ -33,7 +33,12 @@ JobHandle Service::enqueue(std::shared_ptr<detail::JobState> state) {
     table_.emplace(state->id, state);
   }
   JobHandle handle(state);
-  pool_.submit([this, state = std::move(state)] { run_job(state); });
+  pool_.submit([this, state = std::move(state)] {
+    run_job(state);
+    // Every enqueued job reaches exactly one pool task, so the hook fires
+    // exactly once per job, whichever way run_job returned.
+    if (config_.on_job_done) config_.on_job_done(JobHandle(state));
+  });
   return handle;
 }
 

@@ -33,6 +33,7 @@
 #include <atomic>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -81,6 +82,15 @@ struct ServiceConfig {
   // behavior and A/B baseline); teachers without clone() fall back to
   // sharing either way.
   bool clone_distill_teachers = true;
+  // Completion hook, like DistillConfig::on_round_done one level up:
+  // called exactly once per job, on the worker that dequeued it, after
+  // the terminal status is stored and waiters are notified — so nothing
+  // it does delays status() or wait(). Cancelled-in-queue jobs fire it
+  // too. It occupies that worker until it returns (the next queued job
+  // starts after it) and must not throw. ~Service joins the workers, so
+  // whatever the hook touches must outlive the Service. serve::Server
+  // installs it to auto-deploy finished distills (auto_deploy_distilled).
+  std::function<void(const JobHandle&)> on_job_done;
 };
 
 class Service {

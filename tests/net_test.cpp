@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -37,6 +38,7 @@
 #include "metis/net/io.h"
 #include "metis/net/wire.h"
 #include "metis/serve/server.h"
+#include "metis/store/snapshot_store.h"
 #include "metis/tree/flat_tree.h"
 #include "metis/tree/tree_io.h"
 #include "metis/util/fault.h"
@@ -51,6 +53,14 @@ std::string unique_socket_path() {
   static std::atomic<int> counter{0};
   return "/tmp/metis_net_test_" + std::to_string(::getpid()) + "_" +
          std::to_string(counter.fetch_add(1)) + ".sock";
+}
+
+std::string unique_store_dir() {
+  static std::atomic<int> counter{0};
+  std::string dir = "/tmp/metis_net_test_store_" + std::to_string(::getpid()) +
+                    "_" + std::to_string(counter.fetch_add(1));
+  std::filesystem::remove_all(dir);
+  return dir;
 }
 
 // Small but non-trivial tree over 3 features.
@@ -1034,8 +1044,8 @@ TEST(Server, AutoDeployPublishesDistilledTreeToQueryPlane) {
             serve::JobStatus::kDone)
       << status.error;
 
-  // The housekeeping tick hot-swaps the finished tree into the query
-  // plane under the scenario key — no caller-side add_tree.
+  // The job's worker hot-swaps the finished tree into the query plane
+  // under the scenario key — no caller-side add_tree.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (!server.has_tree("gated") &&
@@ -1057,6 +1067,77 @@ TEST(Server, AutoDeployPublishesDistilledTreeToQueryPlane) {
     EXPECT_TRUE(bit_equal(client.query(sid, i, x), flat.predict(x)));
   }
   server.stop();
+}
+
+TEST(Server, AutoDeployLandsWithoutWaitingForTheHousekeepingTick) {
+  auto gate = std::make_shared<Gate>();
+  gate->release();
+  api::ScenarioRegistry registry;
+  registry.add(std::make_unique<GatedScenario>(gate));
+
+  serve::ServerConfig cfg;
+  cfg.unix_path = unique_socket_path();
+  cfg.service.workers = 1;
+  cfg.service.registry = &registry;
+  cfg.auto_deploy_distilled = true;
+  cfg.housekeeping_interval_ms = 60000;  // never fires within this test
+  serve::Server server(cfg);
+  server.start();
+
+  // Submitted straight to the Service (as abr_server --distill does), not
+  // over the wire: the completion push must cover both paths.
+  const serve::JobHandle job = server.service().submit_distill("gated");
+  job.wait();
+  ASSERT_EQ(job.status(), serve::JobStatus::kDone) << job.error();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (!server.has_tree("gated") &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(server.has_tree("gated"));
+  EXPECT_EQ(server.stats().trees_auto_deployed, 1u);
+  server.stop();
+}
+
+TEST(Server, DestroyedWhileDistillRunsLeavesStoreWholeOrEmpty) {
+  auto gate = std::make_shared<Gate>();  // closed: the job blocks running
+  api::ScenarioRegistry registry;
+  registry.add(std::make_unique<GatedScenario>(gate));
+
+  serve::ServerConfig cfg;
+  cfg.unix_path = unique_socket_path();
+  cfg.service.workers = 1;
+  cfg.service.registry = &registry;
+  cfg.auto_deploy_distilled = true;
+  cfg.store_dir = unique_store_dir();
+  auto server = std::make_unique<serve::Server>(cfg);
+  server->start();
+  const serve::JobHandle job = server->service().submit_distill("gated");
+  while (job.status() == serve::JobStatus::kQueued) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // The job finishes inside ~Server (the Service drains running jobs), so
+  // its deploy runs on a worker while the Server is being torn down: the
+  // store, the tree table and the stats must all still be alive then.
+  std::thread opener([gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate->release();
+  });
+  server.reset();
+  opener.join();
+  ASSERT_EQ(job.status(), serve::JobStatus::kDone) << job.error();
+
+  store::SnapshotStore reopened({.dir = cfg.store_dir});
+  EXPECT_EQ(reopened.recovery().quarantined, 0u);
+  const std::uint64_t version =
+      reopened.latest_version(store::ArtifactKind::kTree, "gated");
+  ASSERT_LE(version, 1u);
+  if (version == 1) {
+    EXPECT_EQ(tree::serialize(reopened.load_tree("gated")),
+              tree::serialize(job.distill_run().result.tree));
+  }
 }
 
 // ---- client: timeouts, retry, reconnect -------------------------------------

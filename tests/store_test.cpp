@@ -34,6 +34,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -739,6 +740,121 @@ TEST(ServerStore, AutoDeployPublishesDurablyBeforeVisibility) {
   store::SnapshotStore reopened({.dir = dir});
   EXPECT_EQ(reopened.load_payload(store::ArtifactKind::kTree, "tiny"),
             tree_text);
+}
+
+TEST(ServerStore, ConcurrentSameKeyDeploysServeTheStoresNewestVersion) {
+  const std::string dir = unique_store_dir();
+  api::ScenarioRegistry registry;
+  registry.add(std::make_unique<TinyScenario>());
+
+  serve::ServerConfig cfg;
+  cfg.unix_path = unique_socket_path();
+  cfg.service.workers = 2;
+  cfg.service.registry = &registry;
+  cfg.auto_deploy_distilled = true;
+  cfg.store_dir = dir;
+  serve::Server server(cfg);
+  server.start();
+  net::Client client = net::Client::connect_unix(cfg.unix_path);
+
+  // Eight same-key distills on two workers: deploys finish in pairs and
+  // race for the store and the tree table. Different episode counts give
+  // different trees, so a swap out of store order would be visible.
+  constexpr std::size_t kJobs = 8;
+  std::vector<serve::JobHandle> jobs;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    jobs.push_back(
+        server.service().submit_distill("tiny", {.episodes = 2 + i}));
+  }
+  // Meanwhile the served version only ever moves forward.
+  std::uint64_t served = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().trees_auto_deployed < kJobs &&
+         std::chrono::steady_clock::now() < deadline) {
+    const auto listed = client.list_trees();
+    if (!listed.versions.empty()) {
+      EXPECT_GE(listed.versions[0], served);
+      served = listed.versions[0];
+    }
+  }
+  ASSERT_EQ(server.stats().trees_auto_deployed, kJobs);
+  std::set<std::string> texts;
+  for (const auto& job : jobs) {
+    ASSERT_EQ(job.status(), serve::JobStatus::kDone) << job.error();
+    texts.insert(tree::serialize(job.distill_run().result.tree));
+  }
+  EXPECT_GT(texts.size(), 1u);
+
+  const auto listed = client.list_trees();
+  ASSERT_EQ(listed.names, std::vector<std::string>{"tiny"});
+  std::uint64_t stored = 0;
+  const std::string text = server.snapshot_store()->load_payload(
+      store::ArtifactKind::kTree, "tiny", &stored);
+  EXPECT_EQ(stored, kJobs);
+  EXPECT_EQ(listed.versions[0], stored);
+  EXPECT_EQ(listed.versions[0], server.snapshot_store()->latest_version(
+                                    store::ArtifactKind::kTree, "tiny"));
+
+  // The served tree is bitwise the store's newest version.
+  const tree::FlatTree flat = tree::FlatTree::compile(tree::deserialize(text));
+  const std::uint64_t sid = client.open_session("tiny");
+  Rng rng(77);
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const std::vector<double> x = {rng.uniform()};
+    EXPECT_TRUE(bit_equal(client.query(sid, i, x), flat.predict(x)));
+  }
+  server.stop();
+}
+
+TEST(ServerStore, RejectedPublishIsRetriedAndStaysDurableBeforeVisible) {
+  const std::string dir = unique_store_dir();
+  api::ScenarioRegistry registry;
+  registry.add(std::make_unique<TinyScenario>());
+
+  serve::ServerConfig cfg;
+  cfg.unix_path = unique_socket_path();
+  cfg.service.workers = 1;
+  cfg.service.registry = &registry;
+  cfg.auto_deploy_distilled = true;
+  cfg.housekeeping_interval_ms = 10;
+  cfg.store_dir = dir;
+
+  // One ENOSPC, on the first disk write: the first publish fails, the
+  // retry the housekeeping tick hands back to a worker succeeds.
+  util::FaultSpec spec;
+  spec.seed = chaos_seed();
+  spec.enospc = 1.0;
+  spec.max_faults = 1;
+  util::FaultPlan plan(spec);
+  serve::Server server(cfg);
+  server.start();
+  util::set_fault_plan(&plan);
+
+  const serve::JobHandle job = server.service().submit_distill("tiny");
+  job.wait();
+  ASSERT_EQ(job.status(), serve::JobStatus::kDone) << job.error();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!server.has_tree("tiny") &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(server.has_tree("tiny"));
+  // Visible implies durable.
+  EXPECT_EQ(server.snapshot_store()->latest_version(store::ArtifactKind::kTree,
+                                                    "tiny"),
+            1u);
+  server.stop();
+  util::set_fault_plan(nullptr);
+
+  EXPECT_EQ(plan.faults_injected(), 1u);
+  const serve::Server::Stats stats = server.stats();
+  EXPECT_EQ(stats.store_publish_failures, 1u);
+  EXPECT_EQ(stats.trees_auto_deployed, 1u);
+  store::SnapshotStore reopened({.dir = dir});
+  EXPECT_EQ(reopened.load_payload(store::ArtifactKind::kTree, "tiny"),
+            tree::serialize(job.distill_run().result.tree));
 }
 
 // ---- restart under traffic --------------------------------------------------
