@@ -34,7 +34,11 @@ InterpretResult find_critical_connections(const MaskableModel& model,
   const hypergraph::Hypergraph& graph = model.graph();
   graph.validate();
   const nn::Tensor incidence = graph.incidence_matrix();
-  nn::Var incidence_const = nn::constant(incidence);
+  // The search's free parameters: one logit per connection, ordered
+  // row-major over the incidence matrix (edge, then ascending vertex) —
+  // the order the dense loops summed in, so every reduction below adds
+  // the same terms in the same order.
+  const nn::SparsePattern support = nn::SparsePattern::from_dense(incidence);
 
   // Reference decisions Y_I with the unmasked incidence matrix, frozen as a
   // constant target. For discrete systems the target's per-entry logs are
@@ -51,17 +55,19 @@ InterpretResult find_critical_connections(const MaskableModel& model,
   // (+ tiny noise for symmetry breaking): from there the divergence term
   // pulls critical connections towards 1 while λ1 pulls the rest towards 0,
   // and the entropy term then locks each side in (the Fig. 9a bimodality).
+  // One normal is drawn per |E| x |V| entry, row-major, and the support's
+  // are kept, so a seed picks the same logits at every connection as a
+  // dense initialization would.
   metis::Rng rng(cfg.seed);
-  nn::Tensor logits0(incidence.rows(), incidence.cols());
-  for (double& v : logits0.data()) v = rng.normal(0.0, 0.05);
+  nn::Tensor logits0(support.nnz(), 1);
+  for (std::size_t e = 0, k = 0; e < incidence.rows(); ++e) {
+    for (std::size_t v = 0; v < incidence.cols(); ++v) {
+      const double z = rng.normal(0.0, 0.05);
+      if (incidence(e, v) != 0.0) logits0(k++, 0) = z;
+    }
+  }
   nn::Var logits = nn::parameter(std::move(logits0));
   nn::Adam opt({logits}, cfg.lr);
-
-  auto masked = [&] {
-    // Gating (Eq. 9): W = I ∘ sigmoid(W') keeps 0 <= W_ev <= I_ev; the
-    // fused op evaluates the sigmoid only on the incidence support.
-    return nn::gated_sigmoid(logits, incidence_const);
-  };
 
   // Normalize both penalties by the connection count to keep λ1/λ2
   // comparable across hypergraph sizes.
@@ -77,20 +83,26 @@ InterpretResult find_critical_connections(const MaskableModel& model,
   nn::arena::Scope arena;
   for (std::size_t step = 0; step < cfg.steps; ++step) {
     cfg.cancel.check();  // mask-step boundary
-    nn::Var w = masked();
-    nn::Var y = model.decisions(w);
+    // Gating (Eq. 9): W = I ∘ sigmoid(W'), computed on the connections
+    // and scattered into the dense |E| x |V| mask the model consumes
+    // (exactly 0 off the support, so 0 <= W_ev <= I_ev).
+    nn::Var s = nn::sigmoid(logits);
+    nn::Var y = model.decisions(nn::scatter(s, support));
     // D(Y_W, Y_I) (Eq. 6) + λ1·||W|| (Eq. 7; W >= 0 by construction, so
-    // |W| = W) + λ2·H(W) (Eq. 8, restricted to real connections — masked
-    // entries are exactly 0 and contribute 0 to either penalty). The
-    // regularizer is one fused node; its raw Σ W and H(W) feed the
-    // Fig. 30 diagnostics below without extra graph work.
+    // |W| = W) + λ2·H(W) (Eq. 8). Masked-out entries are exactly 0 and
+    // contribute 0 to either penalty, so the regularizer runs on the
+    // connections alone. It is one fused node; its raw Σ W and H(W) feed
+    // the Fig. 30 diagnostics below without extra graph work. backward()
+    // reaches it before the model, so each connection's gradient is the
+    // regularizer's term plus the model's, added in that order — as
+    // the dense W's gradient was.
     nn::Var divergence =
         discrete ? nn::kl_divergence_rows_cached(y_target, log_target, y)
                  : nn::mse_loss(y, y_target);
     double sum_w = 0.0, entropy_w = 0.0;
-    nn::Var reg =
-        nn::mask_regularizer(w, incidence_const, cfg.lambda1 / n_conn,
-                             cfg.lambda2 / n_conn, &sum_w, &entropy_w);
+    nn::Var reg = nn::mask_regularizer(s, cfg.lambda1 / n_conn,
+                                       cfg.lambda2 / n_conn, &sum_w,
+                                       &entropy_w);
     nn::Var loss = nn::add(divergence, reg);
     opt.zero_grad();
     nn::backward(loss);
@@ -103,7 +115,7 @@ InterpretResult find_critical_connections(const MaskableModel& model,
   }
 
   InterpretResult result;
-  result.mask = masked()->value();
+  result.mask = nn::scatter(nn::sigmoid(logits), support)->value();
   result.divergence = last_div;
   result.mask_l1 = last_l1;
   result.entropy = last_entropy;

@@ -8,9 +8,12 @@
 // where D is KL divergence (discrete decisions) or MSE (continuous),
 // ||W|| penalizes interpretation size, and the binary entropy H(W) forces
 // connections towards 0/1 (determinism). The box constraint is enforced by
-// the §5 gating trick: W = I ∘ sigmoid(W′), optimized with Adam on W′.
-// Connections whose mask stays ~1 are the ones the system's decisions
-// critically depend on.
+// the §5 gating trick: W = I ∘ sigmoid(W′). Only the hypergraph's C
+// connections are free (every other entry of W is exactly 0), so W′ is a
+// C-vector — one logit per connection, row-major over I — and Adam
+// optimizes that vector; the dense W is built from it each step for the
+// model's decisions(). Connections whose mask stays ~1 are the ones the
+// system's decisions critically depend on.
 #pragma once
 
 #include <cstddef>
@@ -42,12 +45,8 @@ class MaskableModel {
   // number of §4.2 searches can run over clones concurrently. decisions()
   // must stay bitwise identical to the original's. Clones may keep
   // borrowing the original's read-only backing objects (topology, traffic
-  // matrices) — keep the built system alive while clones run. Returns
-  // nullptr when the model cannot clone; callers must then serialize
-  // concurrent searches themselves (serve::Service does).
-  [[nodiscard]] virtual std::shared_ptr<MaskableModel> clone() const {
-    return nullptr;
-  }
+  // matrices) — keep the built system alive while clones run.
+  [[nodiscard]] virtual std::shared_ptr<MaskableModel> clone() const = 0;
 };
 
 struct InterpretConfig {

@@ -454,37 +454,6 @@ Var binary_entropy_sum(const Var& w, double eps) {
   return scale(sum_all(add(term1, term2)), -1.0);
 }
 
-Var gated_sigmoid(const Var& x, const Var& support) {
-  MET_CHECK(x->value().same_shape(support->value()));
-  MET_CHECK_MSG(!support->requires_grad(),
-                "gated_sigmoid: support must be a constant");
-  Tensor out(x->value().rows(), x->value().cols());
-  auto in = x->value().data();
-  auto sv = support->value().data();
-  auto o = out.data();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    // Support entries are exactly 0 or 1 (the incidence contract), so
-    // the gated product is sigmoid(x) or exactly 0 — identical to
-    // mul(support, sigmoid(x)) without the masked-out exp calls.
-    o[i] = sv[i] != 0.0 ? 1.0 / (1.0 + std::exp(-in[i])) : 0.0;
-  }
-  return make_node(
-      std::move(out),
-      [](Node& n) {
-        auto& px = *n.parents()[0];
-        auto& ps = *n.parents()[1];
-        if (!px.requires_grad()) return;
-        auto sv = ps.value().data();
-        auto y = n.value().data();
-        auto g = n.grad().data();
-        auto pg = px.grad().data();
-        for (std::size_t i = 0; i < y.size(); ++i) {
-          if (sv[i] != 0.0) pg[i] += y[i] * (1.0 - y[i]) * g[i];
-        }
-      },
-      x, support);
-}
-
 Var kl_divergence_rows_cached(const Var& target_probs, const Var& log_target,
                               const Var& pred_probs, double eps) {
   const Tensor& t = target_probs->value();
@@ -522,21 +491,99 @@ Var kl_divergence_rows_cached(const Var& target_probs, const Var& log_target,
       target_probs, pred_probs);
 }
 
-Var mask_regularizer(const Var& w, const Var& support, double c1, double c2,
-                     double* sum_out, double* entropy_out, double eps) {
-  const Tensor& wv = w->value();
-  MET_CHECK(wv.same_shape(support->value()));
-  MET_CHECK_MSG(!support->requires_grad(),
-                "mask_regularizer: support must be a constant");
-  auto wd = wv.data();
-  auto sv = support->value().data();
+SparsePattern SparsePattern::from_dense(const Tensor& dense) {
+  SparsePattern p;
+  p.rows = dense.rows();
+  p.cols = dense.cols();
+  p.row_begin.reserve(p.rows + 1);
+  p.row_begin.push_back(0);
+  for (std::size_t r = 0; r < p.rows; ++r) {
+    for (std::size_t c = 0; c < p.cols; ++c) {
+      const double v = dense(r, c);
+      MET_CHECK_MSG(v == 0.0 || v == 1.0,
+                    "SparsePattern::from_dense: entries must be 0 or 1");
+      if (v == 1.0) p.col.push_back(c);
+    }
+    p.row_begin.push_back(p.col.size());
+  }
+  return p;
+}
+
+// metis-lint: begin-hot-path
+Var scatter(const Var& values, const SparsePattern& pattern) {
+  MET_CHECK_MSG(values->value().rows() == pattern.nnz() &&
+                    values->value().cols() == 1,
+                "scatter: values must be nnz x 1");
+  Tensor out(pattern.rows, pattern.cols, 0.0);
+  auto x = values->value().data();
+  for (std::size_t r = 0; r < pattern.rows; ++r) {
+    for (std::size_t k = pattern.row_begin[r]; k < pattern.row_begin[r + 1];
+         ++k) {
+      out(r, pattern.col[k]) = x[k];
+    }
+  }
+  const SparsePattern* p = &pattern;
+  return make_node(
+      std::move(out),
+      [p](Node& n) {
+        auto& px = *n.parents()[0];
+        if (!px.requires_grad()) return;
+        const Tensor& g = n.grad();
+        auto pg = px.grad().data();
+        for (std::size_t r = 0; r < p->rows; ++r) {
+          for (std::size_t k = p->row_begin[r]; k < p->row_begin[r + 1]; ++k) {
+            pg[k] += g(r, p->col[k]);
+          }
+        }
+      },
+      values);
+}
+
+Var gather_rows_sum(const SparsePattern& pattern, const Var& b) {
+  const Tensor& bv = b->value();
+  MET_CHECK_MSG(bv.rows() == pattern.cols,
+                "gather_rows_sum: inner dimensions must agree");
+  // Row r, column j: a single accumulator from 0 over r's ones in
+  // ascending column order — the gemm contract's k-ascending chain with
+  // the 0 * b terms (which add exactly ±0) dropped.
+  Tensor out(pattern.rows, bv.cols(), 0.0);
+  for (std::size_t r = 0; r < pattern.rows; ++r) {
+    for (std::size_t k = pattern.row_begin[r]; k < pattern.row_begin[r + 1];
+         ++k) {
+      const std::size_t src = pattern.col[k];
+      for (std::size_t j = 0; j < bv.cols(); ++j) out(r, j) += bv(src, j);
+    }
+  }
+  const SparsePattern* p = &pattern;
+  return make_node(
+      std::move(out),
+      [p](Node& n) {
+        auto& pb = *n.parents()[0];
+        if (!pb.requires_grad()) return;
+        // db += P^T * dY with gemm::matmul_transA_acc's recipe: every db
+        // element's sum runs over P's rows in ascending order into a
+        // zeroed temporary, then lands in db with one add.
+        const Tensor& g = n.grad();
+        Tensor tmp(pb.value().rows(), pb.value().cols(), 0.0);
+        for (std::size_t r = 0; r < p->rows; ++r) {
+          for (std::size_t k = p->row_begin[r]; k < p->row_begin[r + 1]; ++k) {
+            const std::size_t dst = p->col[k];
+            for (std::size_t j = 0; j < g.cols(); ++j) tmp(dst, j) += g(r, j);
+          }
+        }
+        pb.grad() += tmp;
+      },
+      b);
+}
+
+Var mask_regularizer(const Var& w, double c1, double c2, double* sum_out,
+                     double* entropy_out, double eps) {
+  auto wd = w->value().data();
   // ||W|| = Σ w (w >= 0 by the gating) and H(W) = -Σ [w log w +
-  // (1-w) log(1-w)], both restricted to support entries: a masked-out
-  // entry is exactly 0 and contributes exactly 0 to either sum.
+  // (1-w) log(1-w)].
   double sum = 0.0;
   double ent = 0.0;
   for (std::size_t i = 0; i < wd.size(); ++i) {
-    if (sv[i] == 0.0) continue;
     sum += wd[i];
     ent += wd[i] * std::log(std::max(wd[i], eps)) +
            (1.0 - wd[i]) * std::log(std::max(1.0 - wd[i], eps));
@@ -549,14 +596,11 @@ Var mask_regularizer(const Var& w, const Var& support, double c1, double c2,
       std::move(out),
       [c1, c2, eps](Node& n) {
         auto& pw = *n.parents()[0];
-        auto& ps = *n.parents()[1];
         if (!pw.requires_grad()) return;
         const double g = n.grad()(0, 0);
         auto wd = pw.value().data();
-        auto sv = ps.value().data();
         auto pg = pw.grad().data();
         for (std::size_t i = 0; i < wd.size(); ++i) {
-          if (sv[i] == 0.0) continue;
           // d/dw [w log w + (1-w) log(1-w)] with the same eps floors the
           // composite log_op backward applies.
           const double dterm =
@@ -566,8 +610,9 @@ Var mask_regularizer(const Var& w, const Var& support, double c1, double c2,
           pg[i] += g * (c1 - c2 * dterm);
         }
       },
-      w, support);
+      w);
 }
+// metis-lint: end-hot-path
 
 // metis-lint: begin-hot-path
 void backward(const Var& root) {

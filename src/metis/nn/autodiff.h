@@ -250,20 +250,56 @@ class Node {
 
 // ---- Fused Figure-6 ops -----------------------------------------------------
 //
-// The §4.2 mask optimization runs its loss hundreds of times per job; the
-// three fused ops below collapse its per-step composite subgraphs into
-// single nodes and restrict the transcendental work to the hypergraph's
-// support, which is what makes a mask-optimization step cheap enough to
-// serve at production rates (bench_interpret). Each is the drop-in
+// The §4.2 mask optimization runs its loss hundreds of times per job. Its
+// free parameters are the hypergraph's C connections, not the dense
+// |E| x |V| incidence matrix (Eq. 9 pins every other entry to exactly 0),
+// so the ops below work on a C x 1 connection vector and build the dense
+// mask only where a MaskableModel consumes it. Each is the drop-in
 // equivalent of the composite it replaces: identical forward values, the
 // same mathematical gradient (checked against finite differences in
 // tests/nn_test.cpp).
 
-// Gating (Eq. 9): out = support ∘ sigmoid(x), with the sigmoid evaluated
-// only where support is non-zero (elsewhere the product is exactly 0).
-// Support entries must be 0 or 1 — the incidence matrix's contract — and
-// carry no gradient.
-[[nodiscard]] Var gated_sigmoid(const Var& x, const Var& support);
+// A 0/1 matrix stored by the positions of its ones, row-major: row r's
+// ones sit at columns col[row_begin[r] .. row_begin[r + 1]), ascending,
+// and "entry k" is the k-th one in that order. It serves as the §4.2
+// connection support (the incidence matrix) and as RouteNet*'s
+// candidate-path x link matrix.
+struct SparsePattern {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  std::vector<std::size_t> row_begin;  // rows + 1 offsets into col
+  std::vector<std::size_t> col;
+
+  // The ones of `dense`, whose entries must all be exactly 0 or 1.
+  [[nodiscard]] static SparsePattern from_dense(const Tensor& dense);
+  [[nodiscard]] std::size_t nnz() const { return col.size(); }
+};
+
+// metis-lint: begin-hot-path
+// The ops below keep a pointer to `pattern` for their backward pass: the
+// pattern must outlive every backward() through the returned node.
+
+// Scatter of an nnz x 1 column into the pattern's dense shape: entry k
+// of `values` lands at the pattern's k-th one, every other element is
+// exactly 0. The backward gathers the dense gradient at the ones.
+[[nodiscard]] Var scatter(const Var& values, const SparsePattern& pattern);
+
+// P * b for the 0/1 pattern P (rows x cols) and b (cols x n): each output
+// element sums b's rows at P's ones in ascending column order. Bitwise
+// identical to matmul(constant(dense P), b), forward and backward, on
+// either GEMM backend; it skips the zeros' multiply-adds.
+[[nodiscard]] Var gather_rows_sum(const SparsePattern& pattern, const Var& b);
+
+// Fused regularizer c1·||W|| + c2·H(W) (Eqs. 7 + 8) over the connection
+// mask values w (every entry in [0, 1]); the composite equivalent is
+// c1·sum_all(w) + c2·binary_entropy_sum(w). `sum_out` / `entropy_out`,
+// when non-null, receive the raw Σ W and H(W) of this forward — the
+// Fig. 30 diagnostics — without extra nodes.
+[[nodiscard]] Var mask_regularizer(const Var& w, double c1, double c2,
+                                   double* sum_out = nullptr,
+                                   double* entropy_out = nullptr,
+                                   double eps = 1e-8);
+// metis-lint: end-hot-path
 
 // KL(target || pred) mean over rows (Eq. 6) with log(target) hoisted:
 // the target distribution is frozen across the whole optimization, so
@@ -273,16 +309,6 @@ class Node {
                                             const Var& log_target,
                                             const Var& pred_probs,
                                             double eps = 1e-12);
-
-// Fused regularizer c1·||W|| + c2·H(W) (Eqs. 7 + 8) over the support
-// entries only (a zero-mask entry contributes exactly 0 to either term).
-// `sum_out` / `entropy_out`, when non-null, receive the raw Σ W and H(W)
-// of this forward — the Fig. 30 diagnostics — without extra nodes.
-[[nodiscard]] Var mask_regularizer(const Var& w, const Var& support,
-                                   double c1, double c2,
-                                   double* sum_out = nullptr,
-                                   double* entropy_out = nullptr,
-                                   double eps = 1e-8);
 
 // ---- Engine ----------------------------------------------------------------
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "metis/util/check.h"
 #include "metis/util/stats.h"
@@ -167,32 +168,31 @@ RoutingMaskModel::RoutingMaskModel(const RouteNetStar* model,
                                    RouteNetStar::RoutingResult result)
     : model_(model),
       result_(std::move(result)),
-      graph_(routing_hypergraph(model->topology(), result_)),
-      volumes_row_(1, result_.demands.size()),
-      inv_capacity_row_(1, model->topology().link_count()),
-      candidate_incidence_(
-          result_.demands.size() * model->config().candidates,
-          model->topology().link_count(), 0.0) {
+      graph_(routing_hypergraph(model->topology(), result_)) {
   MET_CHECK(model != nullptr);
   const Topology& topo = model_->topology();
+  nn::Tensor volumes(1, result_.demands.size());
   for (std::size_t e = 0; e < result_.demands.size(); ++e) {
-    volumes_row_(0, e) = result_.demands[e].volume;
+    volumes(0, e) = result_.demands[e].volume;
   }
+  nn::Tensor inv_capacity(1, topo.link_count());
   for (std::size_t v = 0; v < topo.link_count(); ++v) {
-    inv_capacity_row_(0, v) = 1.0 / topo.link(v).capacity;
+    inv_capacity(0, v) = 1.0 / topo.link(v).capacity;
   }
   const std::size_t k = model_->config().candidates;
+  nn::Tensor candidate_incidence(result_.demands.size() * k,
+                                 topo.link_count(), 0.0);
   for (std::size_t e = 0; e < result_.demands.size(); ++e) {
     MET_CHECK(result_.candidates[e].size() == k);
     for (std::size_t c = 0; c < k; ++c) {
       for (std::size_t lid : result_.candidates[e][c].links) {
-        candidate_incidence_(e * k + c, lid) = 1.0;
+        candidate_incidence(e * k + c, lid) = 1.0;
       }
     }
   }
-  volumes_const_ = nn::constant(volumes_row_);
-  inv_capacity_const_ = nn::constant(inv_capacity_row_);
-  candidate_incidence_const_ = nn::constant(candidate_incidence_);
+  candidate_links_ = nn::SparsePattern::from_dense(candidate_incidence);
+  volumes_const_ = nn::constant(std::move(volumes));
+  inv_capacity_const_ = nn::constant(std::move(inv_capacity));
 }
 
 nn::Var RoutingMaskModel::decisions(const nn::Var& mask) const {
@@ -203,8 +203,9 @@ nn::Var RoutingMaskModel::decisions(const nn::Var& mask) const {
   nn::Var utilization = nn::mul(loads, inv_capacity_const_);
   // Learned per-link delays.
   nn::Var delays = delay_net().forward(nn::transpose(utilization));
-  // Candidate-path latencies: ((|E|k) x |V|) · (|V| x 1).
-  nn::Var cand_lat = nn::matmul(candidate_incidence_const_, delays);
+  // Candidate-path latencies: ((|E|k) x |V|) · (|V| x 1), each path's
+  // link delays summed in ascending link order.
+  nn::Var cand_lat = nn::gather_rows_sum(candidate_links_, delays);
   nn::Var logits = nn::reshape(
       nn::scale(cand_lat, -model_->config().softmax_beta), n_demands, k);
   return nn::softmax_rows(logits);

@@ -125,17 +125,14 @@ class RoutingMaskModel final : public core::MaskableModel {
   std::shared_ptr<const LinkDelayNet> owned_delay_net_;
   RouteNetStar::RoutingResult result_;
   hypergraph::Hypergraph graph_;
-  nn::Tensor volumes_row_;       // 1 x |E| demand volumes
-  nn::Tensor inv_capacity_row_;  // 1 x |V|
-  nn::Tensor candidate_incidence_;  // (|E| * k) x |V| 0-1 matrix
-  // The same three, frozen once as constant nodes: decisions() runs every
-  // mask-optimization step, and rebuilding a constant copies its whole
-  // tensor — the candidate incidence alone is |E|k x |V|. Constants carry
-  // no gradient, so sharing the nodes across steps (and across clones)
-  // is race-free.
+  // (|E| * k) x |V| 0-1 candidate-path x link matrix, by its ones.
+  nn::SparsePattern candidate_links_;
+  // 1 x |E| demand volumes and 1 x |V| inverse capacities, frozen once as
+  // constant nodes: decisions() runs every mask-optimization step, and
+  // rebuilding a constant copies its tensor. Constants carry no gradient,
+  // so sharing the nodes across steps (and across clones) is race-free.
   nn::Var volumes_const_;
   nn::Var inv_capacity_const_;
-  nn::Var candidate_incidence_const_;
 };
 
 }  // namespace metis::routing

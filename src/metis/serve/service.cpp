@@ -382,20 +382,9 @@ void Service::run_interpret(const detail::JobState& state,
   // (unused) gradients into its weight nodes — racy if shared. Deep-clone
   // the model per job so N same-key searches run on N workers at once;
   // the cached build (and its keepalive, which clones may borrow
-  // read-only state from) stays alive in `sys`. Models that cannot clone
-  // serialize on the slot's run lock, as does the
-  // clone_interpret_models=false A/B baseline.
-  std::shared_ptr<core::MaskableModel> model = sys.model;
-  util::OptionalLock run_lock;
-  if (config_.clone_interpret_models) {
-    if (auto cloned = sys.model->clone()) {
-      model = std::move(cloned);
-    } else {
-      run_lock.lock(slot->run_mu);
-    }
-  } else {
-    run_lock.lock(slot->run_mu);
-  }
+  // read-only state from) stays alive in `sys`.
+  const std::shared_ptr<core::MaskableModel> model = sys.model->clone();
+  MET_CHECK_MSG(model != nullptr, "MaskableModel::clone() returned null");
   // Thread the job's token through the mask-step checkpoints.
   cfg.cancel = state.cancel_source.token();
   out.result = core::find_critical_connections(*model, cfg);

@@ -23,7 +23,7 @@
 // coordinate — implement clone() to get fully independent runs.
 // Interpret jobs likewise deep-clone the cached model per job
 // (MaskableModel::clone), so N same-key searches occupy N workers
-// concurrently; non-cloneable models fall back to per-key serialization.
+// concurrently.
 //
 // The synchronous metis::Interpreter facade is a thin wrapper over this
 // class (submit + wait), so both surfaces share one cache and one code
@@ -70,12 +70,6 @@ struct ServiceConfig {
   // transiently exceed the cap while every slot is busy). 0 = unbounded,
   // preserving the pre-cap behavior.
   std::size_t cache_capacity = 0;
-  // Interpret jobs deep-clone the cached model per job (see
-  // MaskableModel::clone), so any number of same-key searches run fully
-  // in parallel. false restores the serialized path (one search at a time
-  // per key on the shared model) — the A/B baseline for
-  // bench_interpret and a safety valve for exotic user models.
-  bool clone_interpret_models = true;
   // Distill jobs likewise deep-clone the cached teacher per job (see
   // Teacher::clone), so each returned run owns a fully independent
   // teacher. false shares the cached teacher read-only (the pre-clone
@@ -164,15 +158,6 @@ class Service {
     util::Mutex build_mu;
     bool built GUARDED_BY(build_mu) = false;
     api::GlobalSystem system GUARDED_BY(build_mu);
-    // The Figure-6 search backpropagates through the model, accumulating
-    // (unused) gradients into its weight nodes — concurrent searches over
-    // ONE model would race on those tensors. Interpret jobs therefore
-    // clone the model per job (MaskableModel::clone) and run without any
-    // lock; models that cannot clone — and the
-    // clone_interpret_models=false A/B path — serialize here instead.
-    // Like env_mu: an execution lock guarding no fields, taken via
-    // util::OptionalLock.
-    util::Mutex run_mu;
     // LRU stamp; see LocalSlot::last_used.
     std::uint64_t last_used = 0;
   };

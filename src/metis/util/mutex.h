@@ -234,9 +234,9 @@ class CondVar {
   std::condition_variable cv_;
 };
 
-// A lock whose acquisition is decided at runtime — the serialize-execution
-// fallbacks in serve::Service (non-cloneable envs/models) either take the
-// per-key lock or run lock-free on a clone. Static analysis cannot model
+// A lock whose acquisition is decided at runtime — serve::Service's
+// serialize-execution fallback for non-cloneable envs either takes the
+// per-key lock or runs lock-free on a clone. Static analysis cannot model
 // conditionally-held capabilities, so this type's operations are
 // deliberately NO_THREAD_SAFETY_ANALYSIS; it must therefore only ever
 // guard *execution* (mutual exclusion of whole job bodies), never data

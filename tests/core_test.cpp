@@ -218,6 +218,11 @@ class ToyMaskModel final : public MaskableModel {
 
   const hypergraph::Hypergraph& graph() const override { return graph_; }
 
+  // No learned state: a copy is an independent clone.
+  std::shared_ptr<MaskableModel> clone() const override {
+    return std::make_shared<ToyMaskModel>(*this);
+  }
+
   nn::Var decisions(const nn::Var& mask) const override {
     // Two-way decision per edge: logit row = [gain * W_e0, 0.1 * (W_e1+W_e2)]
     // Only W_00 materially moves the output distribution. The gain is kept

@@ -8,9 +8,12 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "metis/nn/a2c.h"
 #include "metis/nn/autodiff.h"
+#include "metis/nn/gemm.h"
 #include "metis/nn/layers.h"
 #include "metis/nn/mlp.h"
 #include "metis/nn/optim.h"
@@ -202,19 +205,96 @@ TEST(Autodiff, BinaryEntropyGradients) {
 
 // ---- fused Figure-6 ops -----------------------------------------------------
 
-TEST(Autodiff, GatedSigmoidMatchesCompositeBitwise) {
-  Tensor sv(2, 3, std::vector<double>{1, 0, 1, 0, 1, 1});
-  Tensor xv(2, 3, std::vector<double>{-1.2, 3.0, 0.4, 7.0, -0.1, 2.5});
-  Var support = constant(sv);
-  Var x = parameter(xv);
-  const Tensor fused = gated_sigmoid(x, support)->value();
-  const Tensor composite = mul(constant(sv), sigmoid(constant(xv)))->value();
+// A 2 x 3 support with row-major connections (0,0), (0,2), (1,1), (1,2).
+Tensor support_2x3() {
+  return Tensor(2, 3, std::vector<double>{1, 0, 1, 0, 1, 1});
+}
+
+TEST(Autodiff, SparsePatternListsOnesRowMajor) {
+  const SparsePattern p = SparsePattern::from_dense(support_2x3());
+  EXPECT_EQ(p.rows, 2u);
+  EXPECT_EQ(p.cols, 3u);
+  EXPECT_EQ(p.row_begin, (std::vector<std::size_t>{0, 2, 4}));
+  EXPECT_EQ(p.col, (std::vector<std::size_t>{0, 2, 1, 2}));
+  EXPECT_EQ(p.nnz(), 4u);
+  EXPECT_THROW((void)SparsePattern::from_dense(Tensor(1, 2, 0.5)),
+               std::logic_error);
+}
+
+// Eq. 9's gating on the connections, scattered to dense, equals the
+// dense composite support ∘ sigmoid(x) bit for bit.
+TEST(Autodiff, ScatteredSigmoidMatchesGatedCompositeBitwise) {
+  const SparsePattern p = SparsePattern::from_dense(support_2x3());
+  Tensor dense_x(2, 3, std::vector<double>{-1.2, 3.0, 0.4, 7.0, -0.1, 2.5});
+  Tensor conn_x(4, 1, std::vector<double>{-1.2, 0.4, -0.1, 2.5});
+  Var x = parameter(conn_x);
+  const Tensor fused = scatter(sigmoid(x), p)->value();
+  const Tensor composite =
+      mul(constant(support_2x3()), sigmoid(constant(dense_x)))->value();
   ASSERT_TRUE(fused.same_shape(composite));
   for (std::size_t i = 0; i < fused.size(); ++i) {
     EXPECT_EQ(fused.data()[i], composite.data()[i]) << i;  // bitwise
   }
-  expect_gradients_match(x, [&] { return sum_all(square(
-      gated_sigmoid(x, support))); });
+  expect_gradients_match(x, [&] {
+    return sum_all(square(scatter(sigmoid(x), p)));
+  });
+}
+
+// gather_rows_sum against the dense 0/1 matmul it replaces: values, the
+// gradient of its input and of a parameter upstream of that input, bit
+// for bit, on both GEMM backends. The pattern includes an empty row and
+// an empty column.
+TEST(Autodiff, GatherRowsSumBitwiseMatchesDenseMatmul) {
+  Rng rng(41);
+  Tensor dense(9, 7, 0.0);
+  for (std::size_t r = 0; r < dense.rows(); ++r) {
+    if (r == 4) continue;
+    for (std::size_t c = 1; c < dense.cols(); ++c) {
+      if (rng.uniform(0.0, 1.0) < 0.4) dense(r, c) = 1.0;
+    }
+  }
+  const SparsePattern p = SparsePattern::from_dense(dense);
+  for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+    Tensor xv(7, n), wv(9, n);
+    for (double& v : xv.data()) v = rng.normal(0.0, 1.0);
+    for (double& v : wv.data()) v = rng.normal(0.0, 1.0);
+    for (auto backend : {gemm::Backend::kNaive, gemm::Backend::kBlocked}) {
+      gemm::BackendScope scope(backend);
+      auto run = [&](bool sparse, Tensor& b_grad, Tensor& x_grad) {
+        Var x = parameter(xv);
+        Var b = tanh_op(x);
+        Var out = sparse ? gather_rows_sum(p, b)
+                         : matmul(constant(dense), b);
+        // Square so each output's gradient depends on its value. The
+        // second term reaches b directly, so b's gradient already holds
+        // a value when the op's backward adds into it — the case where
+        // the gemm recipe (complete sum, then one add) matters.
+        backward(add(sum_all(mul(square(out), constant(wv))),
+                     sum_all(scale(b, 0.37))));
+        b_grad = b->grad();
+        x_grad = x->grad();
+        return out->value();
+      };
+      Tensor sb, sx, db, dx;
+      const Tensor sparse_out = run(true, sb, sx);
+      const Tensor dense_out = run(false, db, dx);
+      const std::string what =
+          std::string(gemm::to_string(backend)) + " n=" + std::to_string(n);
+      ASSERT_TRUE(sparse_out.same_shape(dense_out)) << what;
+      EXPECT_EQ(std::memcmp(sparse_out.data().data(), dense_out.data().data(),
+                            dense_out.size() * sizeof(double)),
+                0)
+          << what << ": values";
+      EXPECT_EQ(std::memcmp(sb.data().data(), db.data().data(),
+                            db.size() * sizeof(double)),
+                0)
+          << what << ": input gradient";
+      EXPECT_EQ(std::memcmp(sx.data().data(), dx.data().data(),
+                            dx.size() * sizeof(double)),
+                0)
+          << what << ": upstream gradient";
+    }
+  }
 }
 
 TEST(Autodiff, CachedKlMatchesCompositeAndDifferentiates) {
@@ -235,28 +315,26 @@ TEST(Autodiff, CachedKlMatchesCompositeAndDifferentiates) {
 }
 
 TEST(Autodiff, MaskRegularizerMatchesCompositeAndDifferentiates) {
-  Tensor sv(2, 3, std::vector<double>{1, 0, 1, 1, 1, 0});
-  // Values strictly inside (0, 1) on the support; exactly 0 elsewhere —
-  // the shape gated_sigmoid produces.
-  Tensor wv(2, 3, std::vector<double>{0.3, 0.0, 0.8, 0.55, 0.12, 0.0});
-  Var support = constant(sv);
+  // Connection mask values strictly inside (0, 1), the range the gating
+  // produces.
+  Tensor wv(4, 1, std::vector<double>{0.3, 0.8, 0.55, 0.12});
   const double c1 = 0.25 / 4.0, c2 = 1.0 / 4.0;
 
   double sum = 0.0, entropy = 0.0;
   Var w_const = constant(wv);
   const double fused =
-      mask_regularizer(w_const, support, c1, c2, &sum, &entropy)->value()(0, 0);
+      mask_regularizer(w_const, c1, c2, &sum, &entropy)->value()(0, 0);
   const double l1_composite = sum_all(w_const)->value()(0, 0);
   const double h_composite = binary_entropy_sum(w_const)->value()(0, 0);
-  EXPECT_EQ(sum, l1_composite);          // zero entries add exactly 0
+  EXPECT_EQ(sum, l1_composite);
   EXPECT_NEAR(entropy, h_composite, 1e-12);
   EXPECT_NEAR(fused, c1 * l1_composite + c2 * h_composite, 1e-12);
 
   // Gradient through the full gating chain, as the interpreter uses it.
-  Var logits = parameter(Tensor(2, 3, std::vector<double>{0.4, 2.0, -0.7,
-                                                          0.2, -1.5, 3.0}));
+  Var logits =
+      parameter(Tensor(4, 1, std::vector<double>{0.4, -0.7, -1.5, 3.0}));
   expect_gradients_match(logits, [&] {
-    return mask_regularizer(gated_sigmoid(logits, support), support, c1, c2);
+    return mask_regularizer(sigmoid(logits), c1, c2);
   }, 1e-4);
 }
 

@@ -881,13 +881,11 @@ TEST(Service, ProgressRespectsOverridesAndStaysZeroOnFailure) {
 
 // A maskable model whose decisions() pass through a real Mlp — backward
 // accumulates gradients into the net's weight nodes, the exact state
-// concurrent same-key searches used to serialize on. clone() hands each
-// job an independent net (or nullptr, to exercise the serialized
-// fallback).
+// concurrent same-key searches would race on. clone() hands each job an
+// independent net.
 class NetMaskModel final : public core::MaskableModel {
  public:
-  NetMaskModel(std::uint64_t seed, bool cloneable)
-      : cloneable_(cloneable), graph_(4, 3) {
+  explicit NetMaskModel(std::uint64_t seed) : graph_(4, 3) {
     graph_.connect(0, 0);
     graph_.connect(0, 1);
     graph_.connect(1, 1);
@@ -905,22 +903,19 @@ class NetMaskModel final : public core::MaskableModel {
     return nn::softmax_rows(net_->forward(mask));
   }
   std::shared_ptr<core::MaskableModel> clone() const override {
-    if (!cloneable_) return nullptr;
     auto copy = std::make_shared<NetMaskModel>(*this);
     copy->net_ = std::make_shared<nn::Mlp>(net_->clone());
     return copy;
   }
 
  private:
-  bool cloneable_;
   hypergraph::Hypergraph graph_;
   std::shared_ptr<nn::Mlp> net_;
 };
 
 class NetMaskScenario final : public api::Scenario {
  public:
-  NetMaskScenario(std::string key, bool cloneable)
-      : key_(std::move(key)), cloneable_(cloneable) {}
+  explicit NetMaskScenario(std::string key) : key_(std::move(key)) {}
   std::string key() const override { return key_; }
   std::string description() const override { return "net-backed mask model"; }
   bool has_local() const override { return false; }
@@ -928,7 +923,7 @@ class NetMaskScenario final : public api::Scenario {
   api::GlobalSystem make_global(
       const api::ScenarioOptions& options) const override {
     api::GlobalSystem sys;
-    sys.model = std::make_shared<NetMaskModel>(options.seed + 7, cloneable_);
+    sys.model = std::make_shared<NetMaskModel>(options.seed + 7);
     sys.keepalive = sys.model;
     sys.interpret_defaults.steps = 30;
     sys.interpret_defaults.seed = options.seed + 2;
@@ -937,7 +932,6 @@ class NetMaskScenario final : public api::Scenario {
 
  private:
   std::string key_;
-  bool cloneable_;
 };
 
 void expect_same_interpret(const core::InterpretResult& a,
@@ -968,7 +962,7 @@ void expect_same_interpret(const core::InterpretResult& a,
 TEST(Service, ConcurrentSameKeyInterpretBitwiseIdenticalToSequential) {
   api::ScenarioRegistry reg;
   api::register_builtin_scenarios(reg);
-  reg.add(std::make_unique<NetMaskScenario>("netmask", /*cloneable=*/true));
+  reg.add(std::make_unique<NetMaskScenario>("netmask"));
 
   api::InterpretOverrides io;
   io.steps = 40;
@@ -999,49 +993,9 @@ TEST(Service, ConcurrentSameKeyInterpretBitwiseIdenticalToSequential) {
   }
 }
 
-// Models that cannot clone still work — same-key jobs serialize on the
-// slot lock — and the serialized A/B path (clone_interpret_models=false)
-// matches the cloned path bit for bit.
-TEST(Service, NonCloneableAndSerializedInterpretMatchClonedPath) {
-  api::ScenarioRegistry reg;
-  reg.add(std::make_unique<NetMaskScenario>("netmask", /*cloneable=*/true));
-  reg.add(std::make_unique<NetMaskScenario>("netmask-noclone",
-                                            /*cloneable=*/false));
-
-  api::InterpretOverrides io;
-  io.steps = 25;
-
-  auto run_four = [&](const char* key, bool clone_models) {
-    serve::ServiceConfig cfg;
-    cfg.workers = 4;
-    cfg.registry = &reg;
-    cfg.clone_interpret_models = clone_models;
-    serve::Service svc(cfg);
-    std::vector<serve::JobHandle> jobs;
-    for (int i = 0; i < 4; ++i) jobs.push_back(svc.submit_interpret(key, io));
-    svc.wait_all();
-    std::vector<core::InterpretResult> results;
-    for (auto& j : jobs) {
-      EXPECT_EQ(j.status(), serve::JobStatus::kDone) << j.error();
-      results.push_back(j.take_interpret_run().result);
-    }
-    return results;
-  };
-
-  const auto cloned = run_four("netmask", true);
-  const auto serialized = run_four("netmask", false);
-  const auto noclone = run_four("netmask-noclone", true);
-  for (std::size_t i = 0; i < cloned.size(); ++i) {
-    expect_same_interpret(serialized[i], cloned[i],
-                          "serialized vs cloned " + std::to_string(i));
-    expect_same_interpret(noclone[i], cloned[i],
-                          "noclone vs cloned " + std::to_string(i));
-  }
-}
-
 TEST(Service, InterpretJobsReportStepProgress) {
   api::ScenarioRegistry reg;
-  reg.add(std::make_unique<NetMaskScenario>("netmask", /*cloneable=*/true));
+  reg.add(std::make_unique<NetMaskScenario>("netmask"));
 
   serve::ServiceConfig cfg;
   cfg.workers = 1;
